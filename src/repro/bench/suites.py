@@ -369,8 +369,13 @@ def _parallel_engine_case(aggregate_op: str, asem: str, max_workers: int | None)
             _PARALLEL_TUPLES, _PARALLEL_ATTRIBUTES, _PARALLEL_MAPPINGS
         )
         query = context.query(AggregateOp[aggregate_op])
+        # ``max_workers=None`` is the sequential reference (the
+        # ``scalar.*`` rows): pinned to the row walk, as recorded.
         engine = AggregationEngine(
-            context.table, context.pmapping, max_workers=max_workers
+            context.table,
+            context.pmapping,
+            max_workers=max_workers,
+            vectorize=False if max_workers is None else None,
         )
 
         def close():

@@ -387,6 +387,8 @@ def _render_plan(plan: dict, indent: int = 0) -> list[str]:
         f"{cell['aggregate_semantics']})"
     )
     lines.append(f"{pad}  lane: {plan['lane']}")
+    if plan.get("substrate"):
+        lines.append(f"{pad}  substrate: {plan['substrate']}")
     lines.append(f"{pad}  complexity: {plan['complexity']}")
     lines.append(f"{pad}  fallback chain: {' -> '.join(plan['fallback_chain'])}")
     degradation = plan.get("degradation_chain") or []
@@ -439,7 +441,8 @@ def _render_span(span: dict, indent: int = 0) -> list[str]:
     detail = ""
     lane = span["attributes"].get("lane")
     if lane:
-        detail = f"  [{lane}]"
+        substrate = span["attributes"].get("substrate")
+        detail = f"  [{lane}, {substrate}]" if substrate else f"  [{lane}]"
     lines = [f"{pad}{span['name']}: {span['seconds'] * 1e3:.3f} ms{detail}"]
     for child in span["children"]:
         lines.extend(_render_span(child, indent + 1))
@@ -454,7 +457,11 @@ def _estimate_vs_actual_lines(report: dict) -> list[str]:
     if not estimates or not actuals:
         return []
     ratios = report.get("misestimation") or {}
-    lines = [f"  lane: {report.get('executed_lane', estimates['lane'])}"]
+    lane = report.get("executed_lane", estimates["lane"])
+    substrate = report.get("executed_substrate")
+    if substrate:
+        lane = f"{lane} ({substrate})"
+    lines = [f"  lane: {lane}"]
     for kind in ("rows", "worlds", "support", "cost"):
         expected = estimates.get(kind)
         observed = actuals.get(kind)

@@ -101,6 +101,13 @@ class CompiledQuery:
         except UnsupportedQueryError:
             return None
 
+    @property
+    def columnar_problem(self):
+        """The array-backed problem pinned by :meth:`materialize`, or
+        ``None`` (never pinned, or pinned as row vectors)."""
+        prepared = self._prepared
+        return None if prepared is None else prepared.columnar_problem
+
     def reformulations(self) -> list[tuple[AggregateQuery, float]]:
         """Per-mapping ``(reformulated query, probability)`` pairs.
 

@@ -53,9 +53,13 @@ from __future__ import annotations
 
 import math
 
-from repro.core.planner import Lane, degradation_chain
+from repro.core.planner import Lane, Substrate, degradation_chain
 from repro.core.semantics import AggregateSemantics
 from repro.sql.ast import AggregateOp
+
+#: The :data:`UNIT_COST` key of a by-table plan answered by
+#: :func:`repro.core.bytable.columnar_executor`.
+BY_TABLE_COLUMNAR = f"{Lane.BY_TABLE}.{Substrate.COLUMNAR}"
 
 #: Cost units per elementary work item, by lane.  One unit is roughly one
 #: scalar row-fold step (predicate evaluation + accumulator update); the
@@ -63,7 +67,8 @@ from repro.sql.ast import AggregateOp
 #: only ratios between lanes drive decisions — and the feedback store
 #: calibrates units to wall-clock per host.
 UNIT_COST: dict[str, float] = {
-    Lane.BY_TABLE: 0.8,  # per (row x mapping) through the certain executor
+    Lane.BY_TABLE: 0.8,  # per (row x mapping) through the row/SQLite executor
+    BY_TABLE_COLUMNAR: 0.03,  # per (row x mapping): Kleene mask + array fold
     Lane.SCALAR: 1.0,  # per (row x mapping): predicate + fold
     Lane.VECTORIZED: 0.05,  # per (row x mapping) through the array kernels
     Lane.STREAMING: 1.05,  # scalar fold + per-row guard check
@@ -74,6 +79,21 @@ UNIT_COST: dict[str, float] = {
     Lane.NAIVE: 1.0,  # per (row x world)
     Lane.SAMPLING: 1.2,  # per (row x draw): RNG + predicate + fold
 }
+
+#: Tables with at least this many rows answer their flat PTIME cells from
+#: the cached columnar snapshot (the vectorized by-tuple lane and the
+#: columnar by-table executor) when the engine leaves ``vectorize`` unset.
+#: Below it the per-query fixed cost of the array path (reformulating into
+#: masks, numpy call overhead, building the snapshot at all) outweighs its
+#: per-row saving.  Measured on a 2-CPU x86 host (numpy 2.4, warm
+#: caches, 8 columns x 5 mappings, summed over the cells): the 7 by-tuple
+#: cells break even near 32 rows (1.24 ms both ways; 7.4 vs 1.1 ms at
+#: 256), the 15 by-table cells already favour columns at 8 rows (1.5 vs
+#: 1.4 ms; 11.3 vs 1.6 ms at 256), and the snapshot costs 0.35 ms to
+#: build at 256 rows.  The constant keeps an 8x margin over the by-tuple
+#: crossover, so the paper's instances and other tiny tables stay on
+#: rows.
+COLUMNAR_CUTOVER_ROWS = 256
 
 #: Per-support-cell weight of the COUNT distribution DP (the quadratic
 #: term the ``max_support`` guard bounds).
@@ -107,21 +127,23 @@ def naive_worlds(rows: int, mappings: int) -> float:
 class LaneEstimate:
     """Predicted work for one lane: row visits, worlds, support, cost."""
 
-    __slots__ = ("lane", "rows", "worlds", "support", "cost")
+    __slots__ = ("lane", "rows", "worlds", "support", "cost", "substrate")
 
     def __init__(
         self, lane: str, rows: float, worlds: float, support: float,
-        cost: float,
+        cost: float, substrate: str | None = None,
     ) -> None:
         self.lane = lane
         self.rows = rows
         self.worlds = worlds
         self.support = support
         self.cost = cost
+        self.substrate = substrate
 
     def to_dict(self) -> dict:
         return {
             "lane": self.lane,
+            "substrate": self.substrate,
             "rows": self.rows,
             "worlds": self.worlds,
             "support": self.support,
@@ -150,8 +172,8 @@ class PlanEstimate:
     """
 
     __slots__ = (
-        "lane", "rows", "worlds", "support", "cost", "candidates",
-        "cutover_rows", "predicted_seconds", "preempted",
+        "lane", "substrate", "rows", "worlds", "support", "cost",
+        "candidates", "cutover_rows", "predicted_seconds", "preempted",
     )
 
     def __init__(
@@ -164,6 +186,7 @@ class PlanEstimate:
         preempted: dict | None = None,
     ) -> None:
         self.lane = chosen.lane
+        self.substrate = chosen.substrate
         self.rows = chosen.rows
         self.worlds = chosen.worlds
         self.support = chosen.support
@@ -179,6 +202,7 @@ class PlanEstimate:
     def to_dict(self) -> dict:
         return {
             "lane": self.lane,
+            "substrate": self.substrate,
             "rows": self.rows,
             "worlds": self.worlds,
             "support": self.support,
@@ -217,15 +241,20 @@ class CostModel:
         samples: int,
         shards: int = 2,
         cutover_rows: int | None = None,
+        substrate: str | None = None,
     ) -> LaneEstimate:
         """The work one lane would do on ``rows`` source rows.
 
         ``shards``/``cutover_rows`` only matter for the parallel lane:
         the shard count divides the row work and the cutover derives the
         per-shard overhead (see :meth:`parallel_overhead_units`).
+        ``substrate`` only matters for the by-table lane: the columnar
+        executor has its own unit weight.
         """
         n, m = max(rows, 0), max(mappings, 1)
         unit = UNIT_COST[lane]
+        if lane == Lane.BY_TABLE and substrate == Substrate.COLUMNAR:
+            unit = UNIT_COST[BY_TABLE_COLUMNAR]
         support = self._support(lane, n, m, op, aggregate_semantics, samples)
         dp_cost = 0.0
         if (
@@ -236,7 +265,7 @@ class CostModel:
             dp_cost = DP_UNIT * n * (n + 1)
         if lane == Lane.BY_TABLE:
             return LaneEstimate(lane, float(n * m), float(m), support,
-                                unit * n * m)
+                                unit * n * m, substrate)
         if lane == Lane.NAIVE:
             worlds = naive_worlds(n, m)
             return LaneEstimate(lane, n * worlds, worlds, support,
@@ -421,6 +450,7 @@ class CostModel:
                 samples=samples,
                 shards=shards,
                 cutover_rows=cutover,
+                substrate=plan.substrate,
             )
         chosen = candidates[plan.lane]
         predicted = self.predicted_seconds(key, plan.lane, chosen.cost)
@@ -453,6 +483,7 @@ class CostModel:
         samples: int,
         support: float | None = None,
         progress: dict | None = None,
+        substrate: str | None = None,
     ) -> dict:
         """What the executed lane actually did, in the estimate's units.
 
@@ -462,12 +493,15 @@ class CostModel:
         substituted when the caller observed one.  For aborted runs
         (``progress`` from the guard) the partial counters are reported
         and the cost is left ``None``: a half-done run has no meaningful
-        completed-cost.
+        completed-cost.  ``substrate`` is the by-table substrate that
+        actually answered (``None`` for the other lanes), so the actual
+        cost follows a columnar query that declined to rows.
         """
         compiled = plan.compiled
         if progress is not None:
             return {
                 "lane": executed_lane,
+                "substrate": substrate,
                 "rows": progress.get("rows"),
                 "worlds": progress.get("worlds"),
                 "support": progress.get("max_support") or support,
@@ -480,6 +514,7 @@ class CostModel:
             op=compiled.query.aggregate.op,
             aggregate_semantics=plan.aggregate_semantics,
             samples=samples,
+            substrate=substrate,
         )
         actual = estimate.to_dict()
         if support is not None:

@@ -105,12 +105,19 @@ class AggregationEngine:
     allow_exponential / allow_sampling / use_extensions:
         Convenience flags forwarded to the default planner.
     vectorize:
-        Route the PTIME by-tuple algorithms (including GROUP BY over a
-        certain grouping attribute) through the columnar numpy fast path
-        (:mod:`repro.core.vectorized`) when the query and data allow it,
-        falling back to the scalar implementations otherwise — including
-        when numpy is not installed (``pip install repro[fast]`` declares
-        the optional dependency).  The columnar snapshot of each table
+        Whether the flat PTIME cells fold columns instead of rows: the
+        by-tuple algorithms (including GROUP BY over a certain grouping
+        attribute) through the columnar numpy lane
+        (:mod:`repro.core.vectorized`), and the memory backend's by-table
+        certain queries through
+        :func:`~repro.core.bytable.columnar_executor`.  ``None`` (the
+        default) lets the cost model choose by table size
+        (:data:`repro.core.cost.COLUMNAR_CUTOVER_ROWS`); ``True`` pins
+        columns, ``False`` pins rows.  Queries or data outside the
+        columnar fragment fall back to rows at run time, and so does
+        everything when numpy is not installed (``pip install
+        repro[fast]`` declares the optional dependency).  Answers are
+        identical either way.  The columnar snapshot of each table
         (:class:`~repro.storage.columnar.ColumnarTable`) is built lazily
         and cached until :meth:`invalidate`/:meth:`close`, so repeated
         queries amortize it.
@@ -175,7 +182,7 @@ class AggregationEngine:
         allow_exponential: bool = False,
         allow_sampling: bool = False,
         use_extensions: bool = False,
-        vectorize: bool = False,
+        vectorize: bool | None = None,
         samples: int = 2000,
         seed: int | None = None,
         max_sequences: int = 1 << 22,
@@ -487,6 +494,10 @@ class AggregationEngine:
         executed lane really did, in the same units), and
         ``misestimation`` (the ``actual / estimate`` ratios) — the
         Postgres-style ``est rows=... actual rows=...`` comparison.
+        ``executed_substrate`` names the by-table substrate that answered
+        (``columnar``, ``rows`` or ``sqlite``; ``None`` for by-tuple
+        lanes) — a columnar plan that declined shows ``rows`` here and
+        ``bytable.columnar.fallback`` in the metrics.
         """
         self.context.ensure_open()
         if repeat < 1:
@@ -521,6 +532,7 @@ class AggregationEngine:
         stats = self.context.last_stats
         if stats is not None:
             report["executed_lane"] = stats["executed_lane"]
+            report["executed_substrate"] = stats["executed_substrate"]
             report["estimates"] = stats["estimates"]
             report["actuals"] = stats["actuals"]
             report["misestimation"] = stats["misestimation"]

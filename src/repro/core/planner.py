@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.core import bytable, bytuple_avg, bytuple_count, bytuple_minmax, bytuple_sum
-from repro.core import extensions, naive, sampling
+from repro.core import extensions, naive, sampling, vectorized
 from repro.core.answers import AggregateAnswer
 from repro.core.common import PreparedTupleQuery
 from repro.core.semantics import AggregateSemantics, MappingSemantics
@@ -63,6 +63,33 @@ class Lane:
     NESTED_COMPOSE = "nested-compose"  # independent-distribution composition
     NAIVE = "naive"  # exponential sequence enumeration
     SAMPLING = "sampling"  # Monte-Carlo estimation
+
+
+class Substrate:
+    """Where a by-table plan answers its per-mapping certain queries
+    (recorded on the plan, ``None`` for the by-tuple lanes)."""
+
+    ROWS = "rows"  # repro.core.eval over the table's Row objects
+    COLUMNAR = "columnar"  # Kleene masks + array folds over the snapshot
+    SQLITE = "sqlite"  # the engine's SQLite backend
+
+
+def use_columnar(context, rows: int) -> bool:
+    """Whether a flat PTIME plan over ``rows`` rows should fold columns.
+
+    ``context.vectorize`` pins the answer when it is a bool; ``None``
+    (the default) leaves it to the table size, against
+    :data:`repro.core.cost.COLUMNAR_CUTOVER_ROWS`.  Always ``False``
+    without numpy.
+    """
+    if context is None or not vectorized.HAVE_NUMPY:
+        return False
+    vectorize = context.vectorize
+    if vectorize is None:
+        from repro.core import cost
+
+        return rows >= cost.COLUMNAR_CUTOVER_ROWS
+    return bool(vectorize)
 
 
 #: The explicit degradation chain a guard breach walks when the engine
@@ -381,12 +408,14 @@ class ExecutionPlan:
     conditional lane declines at run time (vectorization outside the numpy
     fragment, nested composition outside the exact-polynomial fragment);
     ``inner_plan`` is the plan for the flat inner query of a nested shape.
+    ``substrate`` is the :class:`Substrate` a by-table plan answers its
+    certain queries on (``None`` for every other lane).
     """
 
     __slots__ = (
         "compiled", "mapping_semantics", "aggregate_semantics", "lane",
         "complexity", "spec", "fallback", "inner_plan", "context",
-        "estimate", "_digest",
+        "estimate", "substrate", "_digest",
     )
 
     def __init__(
@@ -401,6 +430,7 @@ class ExecutionPlan:
         fallback: "ExecutionPlan | None" = None,
         inner_plan: "ExecutionPlan | None" = None,
         context=None,
+        substrate: str | None = None,
     ) -> None:
         self.compiled = compiled
         self.mapping_semantics = mapping_semantics
@@ -411,6 +441,7 @@ class ExecutionPlan:
         self.fallback = fallback
         self.inner_plan = inner_plan
         self.context = context
+        self.substrate = substrate
         #: The planner's :class:`~repro.core.cost.PlanEstimate`, attached
         #: by :meth:`Planner.plan` once the lane is final (``None`` on
         #: hand-built plans, e.g. degradation targets).
@@ -422,22 +453,21 @@ class ExecutionPlan:
         """Short stable digest of the plan identity (query + cell + lanes).
 
         Groups query-log records by *plan*: the same query replanned onto
-        a different lane chain (data growth, calibration, policy change)
-        gets a new digest.
+        a different lane chain or by-table substrate (data growth,
+        calibration, policy change) gets a new digest.
         """
         if self._digest is None:
             from repro.obs.querylog import query_digest
 
-            self._digest = query_digest(
-                "|".join(
-                    (
-                        self.compiled.text,
-                        self.mapping_semantics.value,
-                        self.aggregate_semantics.value,
-                        "->".join(self.fallback_chain),
-                    )
-                )
-            )
+            parts = [
+                self.compiled.text,
+                self.mapping_semantics.value,
+                self.aggregate_semantics.value,
+                "->".join(self.fallback_chain),
+            ]
+            if self.substrate is not None:
+                parts.append(self.substrate)
+            self._digest = query_digest("|".join(parts))
         return self._digest
 
     @property
@@ -452,7 +482,11 @@ class ExecutionPlan:
 
     @property
     def uses_prepared_tuples(self) -> bool:
-        """True when executing folds the compiled contribution vectors."""
+        """True when executing folds the compiled contribution vectors
+        (for the vectorized lane: the pinned array-backed problem, which
+        grouped queries do not use — they partition the snapshot)."""
+        if self.lane == Lane.VECTORIZED:
+            return self.compiled.query.group_by is None
         return self.lane in (
             Lane.SCALAR,
             Lane.EXTENSION,
@@ -481,6 +515,7 @@ class ExecutionPlan:
                 "aggregate_semantics": self.aggregate_semantics.value,
             },
             "lane": self.lane,
+            "substrate": self.substrate,
             "complexity": self.complexity,
             "algorithm": spec.name if spec is not None else None,
             "exact": spec.exact if spec is not None else True,
@@ -599,12 +634,15 @@ class Planner:
 
         The single place lane selection happens.  ``context`` is the
         engine's :class:`~repro.core.execute.ExecutionContext`; its
-        ``vectorize`` flag gates the columnar numpy lane.  Columnar
-        availability is a storage-layer property: the lane is only
-        planned when :data:`repro.storage.columnar.HAVE_NUMPY` holds (a
-        no-numpy install keeps the scalar plan), and its vectorizable
-        fragment now includes GROUP BY over a certain grouping attribute
-        (column-array partitioning in
+        ``vectorize`` policy (see :func:`use_columnar`: pinned on or off,
+        or by default chosen by table size) decides both the columnar
+        numpy lane for by-tuple cells and the columnar substrate for
+        by-table cells on the memory backend.  Columnar availability is
+        a storage-layer property: neither is planned unless
+        :data:`repro.storage.columnar.HAVE_NUMPY` holds (a no-numpy
+        install keeps the scalar plan and the row executor), and the
+        vectorizable fragment includes GROUP BY over a certain grouping
+        attribute (column-array partitioning in
         :func:`repro.core.vectorized.run_grouped_vectorized`); queries
         outside the fragment — nested shapes, non-numeric aggregate
         arguments, conditions the mask compiler cannot express — decline
@@ -622,6 +660,12 @@ class Planner:
             op, mapping_semantics, aggregate_semantics
         )
         if mapping_semantics is MappingSemantics.BY_TABLE:
+            if getattr(context, "backend", None) is not None:
+                substrate = Substrate.SQLITE
+            elif use_columnar(context, len(compiled.table)):
+                substrate = Substrate.COLUMNAR
+            else:
+                substrate = Substrate.ROWS
             return self._finalize(
                 ExecutionPlan(
                     compiled,
@@ -631,6 +675,7 @@ class Planner:
                     complexity,
                     _by_table_spec(aggregate_semantics),
                     context=context,
+                    substrate=substrate,
                 ),
                 context,
             )
@@ -658,13 +703,8 @@ class Planner:
             spec,
             context=context,
         )
-        if context is not None and context.vectorize:
-            from repro.core import vectorized
-
-            if (
-                vectorized.HAVE_NUMPY
-                and (op, aggregate_semantics) in vectorized.VECTORIZED_CELLS
-            ):
+        if use_columnar(context, len(compiled.table)):
+            if (op, aggregate_semantics) in vectorized.VECTORIZED_CELLS:
                 chosen = ExecutionPlan(
                     compiled,
                     mapping_semantics,

@@ -30,11 +30,11 @@ from repro.schema.mapping import PMapping, SchemaPMapping
 from repro.storage.table import Table
 
 #: Engine construction defaults for served datasets; ``add``/``load``
-#: callers can override any of them per dataset.
+#: callers can override any of them per dataset.  ``vectorize`` is left
+#: to the engine default: columns at or above the cost model's cutover.
 SERVING_ENGINE_DEFAULTS: dict = {
     "degrade": True,
     "allow_sampling": True,
-    "vectorize": True,
 }
 
 

@@ -156,40 +156,31 @@ class ColumnarTable:
     )
 
     def __init__(self, table: Table, *, backend: str = "auto") -> None:
-        self._build(
-            table.relation,
-            {
-                attribute.name: table.column(attribute.name)
-                for attribute in table.relation
-            },
-            len(table),
-            backend,
-        )
+        self._build(table.relation, table.column, len(table), backend)
 
     @classmethod
     def from_rows(
         cls, relation: Relation, rows: list[tuple], *, backend: str = "auto"
     ) -> "ColumnarTable":
         """Build directly from raw row tuples (same contract as a Table)."""
+
+        def column(name: str) -> tuple:
+            index = relation.index_of(name)
+            return tuple(values[index] for values in rows)
+
         instance = object.__new__(cls)
-        instance._build(
-            relation,
-            {
-                attribute.name: tuple(values[index] for values in rows)
-                for index, attribute in enumerate(relation)
-            },
-            len(rows),
-            backend,
-        )
+        instance._build(relation, column, len(rows), backend)
         return instance
 
     def _build(
         self,
         relation: Relation,
-        raw_columns: dict[str, tuple],
+        raw_column,
         row_count: int,
         backend: str,
     ) -> None:
+        # ``raw_column(name)`` yields one column's values at a time, so
+        # the build holds one row-major column copy, not all of them.
         if backend not in ("auto", "python"):
             raise ColumnarError(
                 f"unknown columnar backend {backend!r} "
@@ -204,7 +195,7 @@ class ColumnarTable:
         self._inexact: frozenset[str] = frozenset()
         inexact = set()
         for attribute in relation:
-            raw = raw_columns[attribute.name]
+            raw = raw_column(attribute.name)
             if attribute.type in (AttributeType.INT, AttributeType.REAL):
                 if attribute.type is AttributeType.INT and any(
                     value is not None and not -(2**53) <= value <= 2**53

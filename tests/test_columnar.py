@@ -95,7 +95,7 @@ def assert_lanes_bit_identical(table, pmapping, where, *, group_by=None):
     suffix = f" WHERE {where}" if where else ""
     if group_by is not None:
         suffix += f" GROUP BY {group_by}"
-    scalar = AggregationEngine(table, pmapping)
+    scalar = AggregationEngine(table, pmapping, vectorize=False)
     vectorized = AggregationEngine(table, pmapping, vectorize=True)
     with scalar, vectorized:
         for aggregate, semantics in CELLS:
@@ -309,7 +309,7 @@ class TestEdgeDtypeDifferential:
         ]
         table = self._table(rows)
         pm = mixed_pmapping()
-        scalar = AggregationEngine(table, pm)
+        scalar = AggregationEngine(table, pm, vectorize=False)
         vectorized = AggregationEngine(table, pm, vectorize=True)
         query = f"SELECT SUM(value) FROM {MIXED_TARGET.name} WHERE value < 9 GROUP BY id"
         with scalar, vectorized:
@@ -373,6 +373,32 @@ class TestCacheLifecycle:
         assert after.high == before.high + 10
 
 
+@requires_numpy
+class TestPreparedVectorizedLane:
+    def test_prepared_query_pins_masks_and_matches_rows(self):
+        """A prepared query on the vectorized lane folds pinned masks on
+        every execution; answers stay ``==`` to the row walk."""
+        relation = synthetic.source_relation(3)
+        table = synthetic.generate_source_table(
+            600, 3, seed=2, relation=relation
+        )
+        pmapping = synthetic.generate_pmapping(relation, 3, seed=2)
+        with AggregationEngine(table, pmapping, vectorize=False) as rows, \
+                AggregationEngine(table, pmapping) as engine:
+            for aggregate, semantics in CELLS:
+                query = f"SELECT {aggregate} FROM MED WHERE value < 450"
+                prepared = engine.prepare(query)
+                plan = prepared.plan_for(MappingSemantics.BY_TUPLE, semantics)
+                assert plan.lane == "vectorized"
+                assert prepared.compiled.columnar_problem is not None
+                expected = rows.answer(query, MappingSemantics.BY_TUPLE, semantics)
+                for _ in range(2):
+                    answer = prepared.answer(MappingSemantics.BY_TUPLE, semantics)
+                    assert answer == expected, (aggregate, semantics.value)
+            hits = engine.metrics_snapshot().get("vectorized.hit", 0)
+        assert hits == 2 * len(CELLS)
+
+
 class TestNoNumpyDegradation:
     def test_engine_degrades_to_scalar_lane(self, monkeypatch):
         import repro.core.vectorized as vectorized_module
@@ -382,7 +408,7 @@ class TestNoNumpyDegradation:
         table = synthetic.generate_source_table(40, 2, seed=3, relation=relation)
         pmapping = synthetic.generate_pmapping(relation, 2, seed=3)
         query = "SELECT SUM(value) FROM MED WHERE value < 600"
-        with AggregationEngine(table, pmapping) as scalar:
+        with AggregationEngine(table, pmapping, vectorize=False) as scalar:
             baseline = scalar.answer(
                 query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )
@@ -438,6 +464,23 @@ with AggregationEngine(table, pmapping, vectorize=True) as engine:
     )
     assert answer.is_defined
     assert engine.metrics_snapshot().get("vectorized.hit", 0) == 0
+# The default engine on a table above the columnar cutover: by-tuple
+# plans stay scalar and by-table answers still come from rows.
+from repro.core.cost import COLUMNAR_CUTOVER_ROWS
+
+big = synthetic.generate_source_table(
+    COLUMNAR_CUTOVER_ROWS * 2, 2, seed=1, relation=relation
+)
+with AggregationEngine(big, pmapping) as engine:
+    query = "SELECT SUM(value) FROM MED WHERE value < 500"
+    assert engine.plan(query, "by-tuple", "range").lane == "scalar"
+    plan = engine.plan(query, "by-table", "range")
+    assert plan.substrate == "rows"
+    for semantics in ("range", "distribution", "expected-value"):
+        assert engine.answer(query, "by-table", semantics).is_defined
+    counters = engine.metrics_snapshot()
+    assert counters.get("bytable.columnar.hit", 0) == 0
+    assert counters.get("vectorized.hit", 0) == 0
 print("degraded-ok")
 """
         env = dict(os.environ)

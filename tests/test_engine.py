@@ -200,7 +200,7 @@ class TestVectorizedEngine:
     ]
 
     def test_all_ops_match_scalar_engine(self, ds2, pm2):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         queries = [
             "SELECT COUNT(*) FROM T2 WHERE price < 300",
@@ -220,7 +220,7 @@ class TestVectorizedEngine:
                 _assert_same_answer(a, b)
 
     def test_expected_sum_matches(self, ds2, pm2, q2_prime):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         a = scalar_engine.answer(q2_prime, "by-tuple", "expected-value")
         b = vector_engine.answer(q2_prime, "by-tuple", "expected-value")
@@ -249,7 +249,7 @@ class TestVectorizedEngine:
         assert engine._columnar_cache["S2"] is cached
 
     def test_by_table_unaffected(self, ds2, pm2):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         a = scalar_engine.answer(ebay.Q2_PRIME, "by-table", "distribution")
         b = vector_engine.answer(ebay.Q2_PRIME, "by-table", "distribution")

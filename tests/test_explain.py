@@ -390,6 +390,41 @@ class TestCliExplain:
         assert "plan.cache.hit +2" in out
         assert "plan.cache.miss +1" in out
 
+    def test_explain_above_cutover_plans_columnar_without_flags(
+        self, tmp_path, capsys
+    ):
+        """The ``query`` CLI gets the columnar lanes by table size alone."""
+        from repro.core.cost import COLUMNAR_CUTOVER_ROWS
+        from repro.core.vectorized import HAVE_NUMPY
+
+        workload = synthetic.generate_workload(
+            COLUMNAR_CUTOVER_ROWS * 2, 4, 2, seed=1
+        )
+        csv_path = tmp_path / "big.csv"
+        map_path = tmp_path / "big.json"
+        save_table_csv(workload.table, csv_path)
+        save_pmapping(workload.pmapping, map_path)
+        base = [
+            "query", "--data", str(csv_path), "--mapping", str(map_path),
+            "--query", workload.query(AggregateOp.SUM), "--explain",
+        ]
+        assert main(base + [
+            "--mapping-semantics", "by-tuple", "--aggregate-semantics", "range",
+        ]) == 0
+        by_tuple = capsys.readouterr().out
+        assert main(base + [
+            "--mapping-semantics", "by-table",
+            "--aggregate-semantics", "distribution",
+        ]) == 0
+        by_table = capsys.readouterr().out
+        if HAVE_NUMPY:
+            assert "  lane: vectorized\n" in by_tuple
+            assert "fallback chain: vectorized -> scalar" in by_tuple
+            assert "  substrate: columnar\n" in by_table
+        else:
+            assert "  lane: scalar\n" in by_tuple
+            assert "  substrate: rows\n" in by_table
+
     def test_explain_rejects_stream(self, workload_files, capsys):
         csv_path, map_path, workload = workload_files
         assert main([

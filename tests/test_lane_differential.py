@@ -120,7 +120,7 @@ class TestLanesAgree:
     @given(lane_problems())
     def test_parallel_and_vectorized_match_scalar(self, case):
         table, pmapping, where = case
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         vectorized = AggregationEngine(table, pmapping, vectorize=True)
         parallel = AggregationEngine(
             table,
@@ -154,7 +154,7 @@ class TestLanesAgree:
         """GROUP BY stays off the parallel lane; the fallback must agree."""
         table, pmapping, where = case
         query = f"SELECT SUM(value) FROM MED WHERE {where} GROUP BY id"
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         parallel = AggregationEngine(
             table,
             pmapping,
@@ -233,7 +233,7 @@ class TestProcessPool:
             8192, 3, seed=11, relation=relation
         )
         pmapping = synthetic.generate_pmapping(relation, 3, seed=11)
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         parallel = AggregationEngine(table, pmapping, max_workers=4)
         with scalar, parallel:
             for aggregate, semantics in CELLS:

@@ -5,13 +5,14 @@ enumeration with its own condition evaluator and aggregate folds — no code
 shared with the engine.  These tests pit every lane against it on small
 random instances (``m ** n`` worlds, ``n <= 6``):
 
-* the scalar kernels (the engine's default lanes),
+* the scalar kernels (pinned with ``vectorize=False``; the default
+  engine picks them only below the columnar cutover),
 * the naive sequence enumeration (for the non-PTIME cells),
 * the vectorized numpy lane,
 * the sharded parallel lane (forced onto tiny inputs via
   ``min_rows_per_shard=1``),
 * the streaming accumulators,
-* the SQLite-backed by-table executor.
+* the by-table executors: rows, columnar and SQLite.
 
 Range answers must match *exactly* (the instances carry integer-valued
 floats, so every bound is reached without rounding); expected values and
@@ -41,6 +42,7 @@ from repro.core.streaming import (
     RangeMinMaxAccumulator,
     TupleStream,
 )
+from repro.storage.columnar import HAVE_NUMPY
 from tests.conftest import small_problems
 from tests.oracle import oracle_answer
 
@@ -83,7 +85,10 @@ def engines_under_test(problem):
         (
             "scalar",
             AggregationEngine(
-                problem.table, problem.pmapping, allow_exponential=True
+                problem.table,
+                problem.pmapping,
+                vectorize=False,
+                allow_exponential=True,
             ),
         ),
         (
@@ -200,9 +205,16 @@ class TestByTableConformance:
     @settings(max_examples=20, deadline=None)
     @given(small_problems())
     def test_memory_and_sqlite_backends(self, problem):
-        for backend in ("memory", "sqlite"):
+        """The memory backend on both substrates (rows and columnar) and
+        the SQLite backend."""
+        substrates = {
+            "rows": {"vectorize": False},
+            "columnar": {"vectorize": True},
+            "sqlite": {"backend": "sqlite"},
+        }
+        for substrate, options in substrates.items():
             with AggregationEngine(
-                problem.table, problem.pmapping, backend=backend
+                problem.table, problem.pmapping, **options
             ) as engine:
                 for op, template in QUERIES.items():
                     query = problem.query(template)
@@ -220,8 +232,13 @@ class TestByTableConformance:
                         assert_conforms(
                             answer,
                             oracle,
-                            f"by-table/{backend}/{op}/{semantics.value}",
+                            f"by-table/{substrate}/{op}/{semantics.value}",
                         )
+                counters = engine.metrics_snapshot()
+                if substrate == "columnar" and HAVE_NUMPY:
+                    # The columnar engine really folded columns.
+                    assert counters.get("bytable.columnar.hit", 0) > 0
+                    assert counters.get("bytable.columnar.fallback", 0) == 0
 
 
 def test_parallel_lane_actually_engages():

@@ -47,7 +47,7 @@ class TestConcurrentTracing:
     def test_two_threads_two_sinks_disjoint_trees(self, small_workload):
         """Simultaneous answers under different sinks never interleave."""
         w = small_workload
-        engine = AggregationEngine(w.table, w.pmapping)
+        engine = AggregationEngine(w.table, w.pmapping, vectorize=False)
         query = w.query(AggregateOp.SUM)
         engine.answer(query, "by-tuple", "range")  # warm the caches
         sinks = [InMemorySink(), InMemorySink()]
@@ -234,7 +234,7 @@ class TestShardStitching:
 class TestQueryLog:
     def test_success_record(self, small_workload):
         w = small_workload
-        engine = AggregationEngine(w.table, w.pmapping)
+        engine = AggregationEngine(w.table, w.pmapping, vectorize=False)
         query = w.query(AggregateOp.SUM)
         engine.answer(query, "by-tuple", "range")
         (record,) = engine.recent_queries()
