@@ -34,7 +34,11 @@ def context():
 
 @pytest.fixture(scope="module")
 def pool_engine(context):
-    engine = AggregationEngine(context.table, context.pmapping, max_workers=4)
+    # Rows pin the scalar fallback: against the vectorized lane the
+    # planner never picks the pool.
+    engine = AggregationEngine(
+        context.table, context.pmapping, max_workers=4, vectorize=False
+    )
     yield engine
     engine.close()
 

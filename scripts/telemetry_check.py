@@ -110,6 +110,9 @@ def run() -> int:
             allow_sampling=True,
             max_workers=2,
             min_rows_per_shard=1000,
+            # Rows, not the vectorized lane, are what the pool undercuts;
+            # its shards still fold column slices.
+            vectorize=False,
             slow_query_ms=0,
             slow_query_path=str(slow_path),
         )

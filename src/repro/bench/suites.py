@@ -39,11 +39,8 @@ stays free.
 
 from __future__ import annotations
 
-import importlib.util
-
 from repro.bench.harness import Suite, register_suite
-
-_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+from repro.storage.columnar import HAVE_NUMPY as _HAVE_NUMPY
 
 
 # -- quick: the CI gate ------------------------------------------------------
@@ -370,12 +367,15 @@ def _parallel_engine_case(aggregate_op: str, asem: str, max_workers: int | None)
         )
         query = context.query(AggregateOp[aggregate_op])
         # ``max_workers=None`` is the sequential reference (the
-        # ``scalar.*`` rows): pinned to the row walk, as recorded.
+        # ``scalar.*`` rows): the row walk, as recorded.  The pool rows pin
+        # rows too, since the planner prices the pool against the plan it
+        # falls back to and never picks it over the vectorized lane; their
+        # shards still fold column slices.
         engine = AggregationEngine(
             context.table,
             context.pmapping,
             max_workers=max_workers,
-            vectorize=False if max_workers is None else None,
+            vectorize=False,
         )
 
         def close():

@@ -1042,7 +1042,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-workers", type=int, default=None, metavar="N",
         help="shard flat PTIME by-tuple queries across N worker processes "
         "(answers are bit-for-bit equal to the sequential lanes; small "
-        "inputs keep the sequential fast path)",
+        "inputs, and with numpy tables the vectorized lane serves, keep "
+        "the sequential fast path)",
     )
     query_parser.add_argument(
         "--trace-jsonl", default=None, metavar="PATH",

@@ -20,8 +20,10 @@ flag so callers can distinguish "value 0" from "no value".
 from __future__ import annotations
 
 import math
+import numbers
 
-from repro.exceptions import EvaluationError
+from repro.core.semantics import AggregateSemantics
+from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.prob.distribution import DiscreteDistribution
 
 
@@ -101,6 +103,16 @@ class RangeAnswer(AggregateAnswer):
         return f"RangeAnswer([{self.low}, {self.high}])"
 
 
+def require_numeric(value: object) -> None:
+    """Raise the typed error for an expected value over a non-numeric
+    aggregate: MIN/MAX of a DATE or TEXT column has no mean."""
+    if not isinstance(value, numbers.Real):
+        raise UnsupportedQueryError(
+            "the expected value needs a numeric aggregate, got "
+            f"{type(value).__name__} values"
+        )
+
+
 class DistributionAnswer(AggregateAnswer):
     """The full distribution of the aggregate (distribution semantics).
 
@@ -118,7 +130,7 @@ class DistributionAnswer(AggregateAnswer):
         distribution: DiscreteDistribution | None,
         undefined_probability: float = 0.0,
     ) -> None:
-        if not 0.0 <= undefined_probability <= 1.0 + 1e-9:
+        if not -1e-9 <= undefined_probability <= 1.0 + 1e-9:
             raise EvaluationError(
                 f"undefined probability {undefined_probability} outside [0, 1]"
             )
@@ -141,6 +153,16 @@ class DistributionAnswer(AggregateAnswer):
             return RangeAnswer(None, None)
         return RangeAnswer(self.distribution.min(), self.distribution.max())
 
+    def project(self, semantics: AggregateSemantics) -> AggregateAnswer:
+        """This distribution projected onto one aggregate semantics."""
+        if semantics is AggregateSemantics.DISTRIBUTION:
+            return self
+        if semantics is AggregateSemantics.RANGE:
+            return self.to_range()
+        if semantics is AggregateSemantics.EXPECTED_VALUE:
+            return self.to_expected_value()
+        raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
+
     def to_expected_value(self) -> "ExpectedValueAnswer":
         """Project onto the expected value semantics.
 
@@ -149,6 +171,7 @@ class DistributionAnswer(AggregateAnswer):
         """
         if self.distribution is None:
             return ExpectedValueAnswer(None)
+        require_numeric(self.distribution.min())
         return ExpectedValueAnswer(self.distribution.expected_value())
 
     def probability_of(self, value: float) -> float:
@@ -183,7 +206,8 @@ class DistributionAnswer(AggregateAnswer):
         if self.distribution is None:
             return "DistributionAnswer(undefined)"
         body = ", ".join(
-            f"{v:g}: {p:.4g}" for v, p in self.distribution.items()
+            f"{v:g}: {p:.4g}" if isinstance(v, float) else f"{v!r}: {p:.4g}"
+            for v, p in self.distribution.items()
         )
         if self.undefined_probability > 0:
             body += f"; undefined: {self.undefined_probability:.4g}"

@@ -35,6 +35,7 @@ from repro.core.answers import (
     ExpectedValueAnswer,
     GroupedAnswer,
     RangeAnswer,
+    require_numeric,
 )
 from repro.core.eval import evaluate_certain
 from repro.core.semantics import AggregateSemantics
@@ -238,6 +239,7 @@ def combine_scalar_results(
     if semantics is AggregateSemantics.EXPECTED_VALUE:
         if not defined:
             return ExpectedValueAnswer(None)
+        require_numeric(defined[0][0])
         defined_mass = math.fsum(p for _, p in defined)
         value = math.fsum(v * p for v, p in defined) / defined_mass
         return ExpectedValueAnswer(value)

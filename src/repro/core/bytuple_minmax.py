@@ -24,8 +24,6 @@ exact polynomial method (beyond the paper) and :mod:`repro.core.naive` /
 
 from __future__ import annotations
 
-import math
-
 from repro.core.answers import AggregateAnswer, RangeAnswer
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
 from repro.obs import metrics
@@ -44,33 +42,37 @@ def _minmax_range(
         return vectorized.range_minmax_on(
             prepared.columnar_problem, maximize=maximize
         )
-    forced_inner_extreme = -math.inf if maximize else math.inf
-    any_inner_extreme = math.inf if maximize else -math.inf
-    outer_extreme = -math.inf if maximize else math.inf
-    has_forced = False
-    any_satisfiable = False
+    # Extremes start at None and are seeded by the first participating
+    # value, so DATE and TEXT arguments compare among themselves only.
+    better = max if maximize else min
+    worse = min if maximize else max
+    forced_inner_extreme = None
+    any_inner_extreme = None
+    outer_extreme = None
     for vector in prepared.contribution_vectors():
         satisfying = [c for c in vector if c is not None]
         if not satisfying:
             continue
-        any_satisfiable = True
         vmin = min(satisfying)
         vmax = max(satisfying)
-        if maximize:
-            outer_extreme = max(outer_extreme, vmax)
-            any_inner_extreme = min(any_inner_extreme, vmin)
-            if len(satisfying) == len(vector):
-                has_forced = True
-                forced_inner_extreme = max(forced_inner_extreme, vmin)
-        else:
-            outer_extreme = min(outer_extreme, vmin)
-            any_inner_extreme = max(any_inner_extreme, vmax)
-            if len(satisfying) == len(vector):
-                has_forced = True
-                forced_inner_extreme = min(forced_inner_extreme, vmax)
-    if not any_satisfiable:
+        high, low = (vmax, vmin) if maximize else (vmin, vmax)
+        outer_extreme = high if outer_extreme is None else better(outer_extreme, high)
+        any_inner_extreme = (
+            low if any_inner_extreme is None else worse(any_inner_extreme, low)
+        )
+        if len(satisfying) == len(vector):
+            forced_inner_extreme = (
+                low
+                if forced_inner_extreme is None
+                else better(forced_inner_extreme, low)
+            )
+    if outer_extreme is None:
         return RangeAnswer(None, None)
-    inner = forced_inner_extreme if has_forced else any_inner_extreme
+    inner = (
+        forced_inner_extreme
+        if forced_inner_extreme is not None
+        else any_inner_extreme
+    )
     if maximize:
         return RangeAnswer(inner, outer_extreme)
     return RangeAnswer(outer_extreme, inner)

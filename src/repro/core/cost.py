@@ -73,9 +73,8 @@ UNIT_COST: dict[str, float] = {
     Lane.VECTORIZED: 0.05,  # per (row x mapping) through the array kernels
     Lane.STREAMING: 1.05,  # scalar fold + per-row guard check
     Lane.PARALLEL: 1.0,  # per (row x mapping), divided across shards
-    Lane.EXTENSION: 1.5,  # order-statistics DP per (row x mapping)
+    Lane.EXTENSION: 1.5,  # per (row x mapping) x sweep depth / state
     Lane.NESTED_RANGE: 1.2,  # inner fold + per-group composition
-    Lane.NESTED_COMPOSE: 1.5,  # inner DP + independent composition
     Lane.NAIVE: 1.0,  # per (row x world)
     Lane.SAMPLING: 1.2,  # per (row x draw): RNG + predicate + fold
 }
@@ -274,6 +273,18 @@ class CostModel:
             draws = max(samples, 0)
             return LaneEstimate(lane, float(n * draws), float(draws),
                                 support, unit * n * draws)
+        if lane == Lane.EXTENSION:
+            if op in (AggregateOp.SUM, AggregateOp.AVG):
+                # One merge step per row over at most min(m^n, cap) states.
+                from repro.core.extensions import DEFAULT_MAX_SUPPORT
+
+                states = min(naive_worlds(n, m), float(DEFAULT_MAX_SUPPORT))
+                return LaneEstimate(lane, float(n), 0.0,
+                                    naive_worlds(n, m), unit * n * m * states)
+            # The product-tree sweep: one O(log n) update per event.
+            depth = max(1.0, math.log2(max(n, 1)))
+            return LaneEstimate(lane, float(n), 0.0, support,
+                                unit * n * m * depth + dp_cost)
         if lane == Lane.PARALLEL:
             shards = max(shards, 1)
             overhead = self.parallel_overhead_units(
@@ -285,7 +296,7 @@ class CostModel:
             cost = (unit * n * m + dp_cost) / shards + overhead * shards
             return LaneEstimate(lane, float(n), 0.0, support, cost)
         # Sequential single-pass lanes: scalar, vectorized, streaming,
-        # extension, and the nested compositions (whose inner fold is the
+        # and the nested range composition (whose inner fold is the
         # dominant term).
         return LaneEstimate(lane, float(n), 0.0, support,
                             unit * n * m + dp_cost)
@@ -304,7 +315,7 @@ class CostModel:
         if aggregate_semantics is AggregateSemantics.EXPECTED_VALUE:
             return 1.0
         # Distribution semantics: the COUNT DP carries n + 1 cells; the
-        # MIN/MAX order-statistics extension at most n distinct values;
+        # MIN/MAX order-statistics sweep at most n distinct values;
         # enumeration/sampling at most one value per world/draw.
         if op is AggregateOp.COUNT:
             return float(n + 1)
@@ -364,6 +375,7 @@ class CostModel:
     def parallel_beats_sequential(
         self,
         *,
+        sequential_lane: str = Lane.SCALAR,
         rows: int,
         mappings: int,
         op: AggregateOp,
@@ -374,8 +386,11 @@ class CostModel:
     ) -> bool:
         """Whether the parallel lane's estimate undercuts the sequential one.
 
-        A pure cost comparison over :meth:`lane_estimate`; with the
-        default overhead derivation it reduces exactly to the historical
+        A pure cost comparison over :meth:`lane_estimate`, against
+        ``sequential_lane``: the plan the parallel lane would fall back
+        to (the vectorized lane on a columnar plan, else the scalar
+        kernel).  Against the scalar lane, with the default overhead
+        derivation, it reduces exactly to the historical
         ``rows > min_rows_per_shard`` rule (and an input that cannot fill
         two shards never parallelizes).
         """
@@ -395,7 +410,7 @@ class CostModel:
             cutover_rows=cutover_rows,
         )
         sequential = self.lane_estimate(
-            Lane.SCALAR,
+            sequential_lane,
             rows=rows,
             mappings=mappings,
             op=op,

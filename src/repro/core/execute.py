@@ -34,7 +34,6 @@ from repro.core import guard as guardmod
 from repro.core.answers import (
     AggregateAnswer,
     DistributionAnswer,
-    ExpectedValueAnswer,
     GroupedAnswer,
     RangeAnswer,
 )
@@ -69,7 +68,7 @@ from repro.obs import feedback as feedbackmod
 from repro.obs import metrics, querylog, trace
 from repro.testing import faults
 from repro.schema.mapping import SchemaPMapping
-from repro.sql.ast import AggregateOp, AggregateQuery
+from repro.sql.ast import AggregateQuery
 from repro.storage.columnar import ColumnarError, ColumnarTable
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
@@ -844,34 +843,28 @@ def _dispatch(
             raise EvaluationError(
                 "streaming lane cannot answer this plan shape"
             )
-        if lane in (Lane.SCALAR, Lane.EXTENSION):
+        if lane == Lane.SCALAR:
             answer = run_prepared(plan.compiled.prepared(), plan.spec.kernel)
             _note_lane(lane)
             return answer
+        if lane == Lane.EXTENSION:
+            answer = _try_extension(plan)
+            if answer is not None:
+                _note_lane(lane)
+                return answer
+            context.metrics.inc(f"execute.fallback.{lane}")
+            return _dispatch(
+                plan.fallback,
+                samples=samples,
+                seed=seed,
+                max_sequences=max_sequences,
+            )
         if lane == Lane.NESTED_RANGE:
             answer = _execute_nested_range(plan)
             # The inner plan's dispatch noted its own lane; the outer
             # composition is what actually answered.
             _note_lane(lane)
             return answer
-        if lane == Lane.NESTED_COMPOSE:
-            answer = _compose_nested(plan)
-            if answer is not None:
-                _note_lane(lane)
-                return answer
-            if plan.fallback is not None:
-                context.metrics.inc(f"execute.fallback.{lane}")
-                return _dispatch(
-                    plan.fallback,
-                    samples=samples,
-                    seed=seed,
-                    max_sequences=max_sequences,
-                )
-            raise IntractableError(
-                "nested by-tuple queries under the distribution/expected "
-                "value semantics require allow_exponential=True or "
-                "allow_sampling=True"
-            )
         if lane in (Lane.NAIVE, Lane.SAMPLING):
             answer = plan.spec.run(
                 _request(plan, samples, seed, max_sequences)
@@ -1053,7 +1046,7 @@ def _degraded_plan(
         # scalar plan the planner chose for this cell.
         node = plan.fallback
         while node is not None:
-            if node.lane in (Lane.SCALAR, Lane.EXTENSION):
+            if node.lane == Lane.SCALAR:
                 return node
             node = node.fallback
         spec = plan.spec
@@ -1167,60 +1160,31 @@ def _execute_nested_range(plan: ExecutionPlan) -> RangeAnswer:
     return RangeAnswer(low, high)
 
 
-def _compose_nested(plan: ExecutionPlan) -> AggregateAnswer | None:
-    """Exact nested distribution/expected value via independent composition.
+def _try_extension(plan: ExecutionPlan) -> AggregateAnswer | None:
+    """The exact distribution engine, or ``None`` to run the fallback plan.
 
-    Beyond the paper (its Section VII future work): interpret the inner
-    per-group results as independent random variables and compose them
-    exactly.  Returns ``None`` (fall back) when the inner operator has no
-    exact polynomial distribution, a group can be undefined in some world,
-    or the composed support would explode.
+    A query outside the engine's fragment — DISTINCT SUM/AVG, a grouping
+    attribute that varies by mapping, non-numeric SUM/AVG values, a nested
+    shape the composition cannot answer — declines to the plan's fallback;
+    without one, the engine's own error (or, for a nested shape,
+    :class:`IntractableError`) propagates.
     """
-    from repro.core import extensions, nested
-    from repro.core.bytuple_count import distribution_count_kernel
+    from repro.core import extensions
 
-    query = plan.compiled.query
-    inner = plan.compiled.inner
-    if query.aggregate.distinct:
-        return None
-    inner_op = inner.query.aggregate.op
+    compiled = plan.compiled
     try:
-        if inner_op is AggregateOp.COUNT:
-            inner_kernel = distribution_count_kernel
-        elif inner_op is AggregateOp.MAX:
-            inner_kernel = extensions.max_distribution_kernel
-        elif inner_op is AggregateOp.MIN:
-            inner_kernel = extensions.min_distribution_kernel
+        if compiled.is_nested:
+            answer = extensions.nested_answer(compiled, plan.aggregate_semantics)
         else:
-            return None  # inner SUM/AVG: no exact polynomial route
-        inner_answer = run_prepared(inner.prepared(), inner_kernel)
-        if isinstance(inner_answer, GroupedAnswer):
-            group_answers = [answer for _, answer in inner_answer]
-        else:
-            group_answers = [inner_answer]
-        distributions = []
-        for answer in group_answers:
-            assert isinstance(answer, DistributionAnswer)
-            if not answer.is_defined or answer.undefined_probability > 1e-12:
-                return None  # world-dependent group set: fall back
-            distributions.append(answer.distribution)
-        outer_op = query.aggregate.op
-        if plan.aggregate_semantics is AggregateSemantics.EXPECTED_VALUE:
-            # Linearity of expectation avoids the convolution (whose
-            # support can explode) for the additive outer operators.
-            if outer_op is AggregateOp.SUM:
-                return ExpectedValueAnswer(
-                    math.fsum(d.expected_value() for d in distributions)
-                )
-            if outer_op is AggregateOp.AVG:
-                return ExpectedValueAnswer(
-                    math.fsum(d.expected_value() for d in distributions)
-                    / len(distributions)
-                )
-        distribution = nested.compose_independent(outer_op, distributions)
-    except EvaluationError:
-        return None  # support blow-up or similar: fall back
-    answer = DistributionAnswer(distribution)
-    if plan.aggregate_semantics is AggregateSemantics.DISTRIBUTION:
-        return answer
-    return answer.to_expected_value()
+            answer = run_prepared(compiled.prepared(), plan.spec.kernel)
+    except UnsupportedQueryError:
+        if plan.fallback is None:
+            raise
+        return None
+    if answer is None and plan.fallback is None:
+        raise IntractableError(
+            "nested by-tuple queries under the distribution/expected "
+            "value semantics require allow_exponential=True or "
+            "allow_sampling=True"
+        )
+    return answer

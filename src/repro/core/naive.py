@@ -205,16 +205,9 @@ def naive_by_tuple_answer(
         table, pmapping, query, max_sequences=max_sequences
     )
 
-    def project(dist: DistributionAnswer) -> AggregateAnswer:
-        if semantics is AggregateSemantics.DISTRIBUTION:
-            return dist
-        if semantics is AggregateSemantics.RANGE:
-            return dist.to_range()
-        if semantics is AggregateSemantics.EXPECTED_VALUE:
-            return dist.to_expected_value()
-        raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
-
     if isinstance(answer, GroupedAnswer):
-        return GroupedAnswer({key: project(value) for key, value in answer})
+        return GroupedAnswer(
+            {key: value.project(semantics) for key, value in answer}
+        )
     assert isinstance(answer, DistributionAnswer)
-    return project(answer)
+    return answer.project(semantics)

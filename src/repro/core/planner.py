@@ -12,13 +12,15 @@ knows each cell's complexity class:
 * by-tuple AVG/MIN/MAX are PTIME under range only.
 
 For the open cells the planner offers the naive exponential enumeration,
-Monte-Carlo sampling, and — for MIN/MAX — the exact polynomial extension
-of :mod:`repro.core.extensions` (disabled in strict paper-faithful mode).
+Monte-Carlo sampling, and the exact distribution engine of
+:mod:`repro.core.extensions` (disabled in strict paper-faithful mode):
+polynomial order statistics for MIN/MAX, and a support-bounded
+convolution for SUM/AVG wherever naive enumeration would otherwise run.
 
 The planner is also the single owner of *execution-lane* dispatch:
 :meth:`Planner.plan` binds a :class:`~repro.core.compile.CompiledQuery` and
 a cell to an :class:`ExecutionPlan` recording the chosen :class:`Lane`
-(by-table, scalar, vectorized, extension, nested composition, naive,
+(by-table, scalar, vectorized, extension, nested range, naive,
 sampling), the cell's Figure 6 complexity, and the fallback chain —
 stage 2 of the compile/plan/execute pipeline (see
 :mod:`repro.core.compile` and :mod:`repro.core.execute`).
@@ -58,9 +60,8 @@ class Lane:
     VECTORIZED = "vectorized"  # numpy kernel, scalar fallback at run time
     PARALLEL = "parallel"  # sharded pool fold + merge, fallback at run time
     STREAMING = "streaming"  # sequential accumulator fold (degradation target)
-    EXTENSION = "extension"  # exact MIN/MAX distributions beyond the paper
+    EXTENSION = "extension"  # exact distribution engine beyond the paper
     NESTED_RANGE = "nested-range"  # per-group range composition (Q2 shape)
-    NESTED_COMPOSE = "nested-compose"  # independent-distribution composition
     NAIVE = "naive"  # exponential sequence enumeration
     SAMPLING = "sampling"  # Monte-Carlo estimation
 
@@ -98,13 +99,15 @@ def use_columnar(context, rows: int) -> bool:
 #: streaming fold, then the scalar kernel; exact exponential enumeration
 #: degrades to the sampling estimator (an approximate answer with a
 #: recorded accuracy contract beats a typed error when the caller opted
-#: in).  Lanes absent here are terminal: their breach propagates.
+#: in), and so does the exact distribution engine when its support
+#: outgrows the budget.  Lanes absent here are terminal: their breach
+#: propagates.
 DEGRADATION_CHAIN: dict[str, list[str]] = {
     Lane.PARALLEL: [Lane.STREAMING, Lane.SCALAR],
     Lane.STREAMING: [Lane.SCALAR],
     Lane.VECTORIZED: [Lane.SCALAR],
     Lane.NAIVE: [Lane.SAMPLING],
-    Lane.NESTED_COMPOSE: [Lane.SAMPLING],
+    Lane.EXTENSION: [Lane.SAMPLING],
 }
 
 
@@ -372,28 +375,26 @@ def _expected_sum_spec() -> AlgorithmSpec:
     )
 
 
-def _extension_minmax_spec(
+def _extension_spec(
     op: AggregateOp, aggregate_semantics: AggregateSemantics
 ) -> AlgorithmSpec:
     def run(request: EvaluationRequest) -> AggregateAnswer:
-        return extensions.by_tuple_extreme_answer(
-            request.table,
-            request.pmapping,
-            request.query,
-            aggregate_semantics,
-            maximize=op is AggregateOp.MAX,
+        return extensions.by_tuple_exact_answer(
+            request.table, request.pmapping, request.query, aggregate_semantics
         )
 
     def kernel(prepared):
-        return extensions.extreme_kernel(
-            prepared, aggregate_semantics, maximize=op is AggregateOp.MAX
-        )
+        return extensions.exact_kernel(prepared, aggregate_semantics)
 
+    if op in (AggregateOp.MIN, AggregateOp.MAX):
+        complexity, method = Complexity.PTIME, "order statistics"
+    else:
+        complexity, method = Complexity.OPEN, "support-bounded convolution"
     return AlgorithmSpec(
         f"ByTupleExact{op.value}Distribution",
-        Complexity.PTIME,
+        complexity,
         run,
-        paper_reference="extension beyond the paper (order statistics)",
+        paper_reference=f"extension beyond the paper ({method})",
         kernel=kernel,
         lane=Lane.EXTENSION,
     )
@@ -406,7 +407,7 @@ class ExecutionPlan:
     :func:`repro.core.execute.execute_plan` (stage 3).  ``lane`` is the
     chosen :class:`Lane`; ``fallback`` is the plan to run when a
     conditional lane declines at run time (vectorization outside the numpy
-    fragment, nested composition outside the exact-polynomial fragment);
+    fragment, the exact distribution engine outside its fragment);
     ``inner_plan`` is the plan for the flat inner query of a nested shape.
     ``substrate`` is the :class:`Substrate` a by-table plan answers its
     certain queries on (``None`` for every other lane).
@@ -491,7 +492,6 @@ class ExecutionPlan:
             Lane.SCALAR,
             Lane.EXTENSION,
             Lane.NESTED_RANGE,
-            Lane.NESTED_COMPOSE,
             Lane.SAMPLING,
         )
 
@@ -573,9 +573,13 @@ class Planner:
         Permit Monte-Carlo estimation for those cells when exponential
         enumeration is not allowed or not requested.
     use_extensions:
-        Use the exact polynomial MIN/MAX distribution algorithms that go
-        beyond the paper.  Off by default so the default planner exactly
-        matches Figure 6.
+        Use the exact distribution engine that goes beyond the paper
+        (:mod:`repro.core.extensions`): the polynomial MIN/MAX order
+        statistics, the nested composition, and — for a cell that would
+        otherwise plan naive enumeration, when the ``m^n`` support bound
+        fits the support cap — the SUM/AVG convolution, with the naive plan
+        as its run-time fallback.  Off by default so the default planner
+        exactly matches Figure 6.
     """
 
     def __init__(
@@ -611,7 +615,7 @@ class Planner:
         if key == (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE):
             return _expected_sum_spec()
         if self.use_extensions and op in (AggregateOp.MIN, AggregateOp.MAX):
-            return _extension_minmax_spec(op, aggregate_semantics)
+            return _extension_spec(op, aggregate_semantics)
         if self.allow_exponential:
             return _naive_spec(aggregate_semantics)
         if self.allow_sampling:
@@ -690,7 +694,10 @@ class Planner:
             op, mapping_semantics, aggregate_semantics
         )
         preempted = None
+        extension = None
         if spec.lane == Lane.NAIVE:
+            if self.use_extensions and self._support_fits(compiled, context):
+                extension = _extension_spec(op, aggregate_semantics)
             preempted = self._preempt_naive(compiled, context)
             if preempted is not None:
                 spec = _sampling_spec(aggregate_semantics)
@@ -703,6 +710,20 @@ class Planner:
             spec,
             context=context,
         )
+        if extension is not None:
+            # The naive (or preempted sampling) plan stays as the fallback
+            # for a query outside the engine's fragment (SUM(DISTINCT ...)).
+            chosen = ExecutionPlan(
+                compiled,
+                mapping_semantics,
+                aggregate_semantics,
+                Lane.EXTENSION,
+                complexity,
+                extension,
+                fallback=chosen,
+                context=context,
+            )
+            preempted = None
         if use_columnar(context, len(compiled.table)):
             if (op, aggregate_semantics) in vectorized.VECTORIZED_CELLS:
                 chosen = ExecutionPlan(
@@ -730,6 +751,7 @@ class Planner:
                     op, mapping_semantics, aggregate_semantics
                 )
                 if model.parallel_beats_sequential(
+                    sequential_lane=chosen.lane,
                     rows=len(compiled.table),
                     mappings=len(compiled.pmapping),
                     op=op,
@@ -749,6 +771,22 @@ class Planner:
                         context=context,
                     )
         return self._finalize(chosen, context, preempted=preempted)
+
+    @staticmethod
+    def _support_fits(compiled, context) -> bool:
+        """Whether the convolution's support bound fits its cap.
+
+        The bound is the cost model's world count ``m^n``: no partial
+        state outnumbers the worlds.  The cap is the engine budget's
+        ``max_support``, else :data:`repro.core.extensions.DEFAULT_MAX_SUPPORT`.
+        A cell over the cap keeps the naive (or preempted sampling) plan.
+        """
+        from repro.core import cost
+
+        limit = getattr(getattr(context, "budget", None), "max_support", None)
+        cap = extensions.DEFAULT_MAX_SUPPORT if limit is None else limit
+        worlds = cost.naive_worlds(len(compiled.table), len(compiled.pmapping))
+        return worlds <= cap
 
     def _preempt_naive(self, compiled, context) -> dict | None:
         """Swap naive enumeration for sampling when the world budget
@@ -816,7 +854,7 @@ class Planner:
         """By-tuple lanes for the nested (subquery-in-FROM) shape.
 
         Range composes per-group ranges exactly; distribution/expected
-        value go through the independent-distribution composition when
+        value go through the exact engine's independent composition when
         extensions are enabled, then the naive or sampling fallback.  The
         inner query always runs its scalar lane (its answers feed a
         composition, not the user).
@@ -868,7 +906,7 @@ class Planner:
                 compiled,
                 MappingSemantics.BY_TUPLE,
                 aggregate_semantics,
-                Lane.NESTED_COMPOSE,
+                Lane.EXTENSION,
                 complexity,
                 None,
                 fallback=fallback,

@@ -64,18 +64,6 @@ def _empirical_answer(
     )
 
 
-def _project(
-    answer: DistributionAnswer, semantics: AggregateSemantics
-) -> AggregateAnswer:
-    if semantics is AggregateSemantics.DISTRIBUTION:
-        return answer
-    if semantics is AggregateSemantics.RANGE:
-        return answer.to_range()
-    if semantics is AggregateSemantics.EXPECTED_VALUE:
-        return answer.to_expected_value()
-    raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
-
-
 class ExpectedValueEstimate:
     """A sampled expected value with its statistical error.
 
@@ -233,7 +221,7 @@ def _sample_flat(
             undefined += 1
         else:
             outcomes[value] = outcomes.get(value, 0) + 1
-    return _project(_empirical_answer(outcomes, undefined, samples), semantics)
+    return _empirical_answer(outcomes, undefined, samples).project(semantics)
 
 
 def _sample_worlds(
@@ -286,15 +274,12 @@ def _sample_worlds(
     if saw_grouped or query.group_by is not None:
         return GroupedAnswer(
             {
-                key: _project(
-                    _empirical_answer(
-                        bucket, samples - grouped_defined.get(key, 0), samples
-                    ),
-                    semantics,
-                )
+                key: _empirical_answer(
+                    bucket, samples - grouped_defined.get(key, 0), samples
+                ).project(semantics)
                 for key, bucket in grouped_outcomes.items()
             }
         )
-    return _project(
-        _empirical_answer(scalar_outcomes, scalar_undefined, samples), semantics
-    )
+    return _empirical_answer(
+        scalar_outcomes, scalar_undefined, samples
+    ).project(semantics)

@@ -272,40 +272,47 @@ class RangeSumAccumulator(Accumulator):
         return RangeAnswer(low, up)
 
 
+def _pick(choose, mine, theirs):
+    """``choose(mine, theirs)``, where ``None`` means no value yet."""
+    if mine is None:
+        return theirs
+    if theirs is None:
+        return mine
+    return choose(mine, theirs)
+
+
 class RangeMinMaxAccumulator(Accumulator):
-    """Streaming tight ByTupleRangeMAX / ByTupleRangeMIN (Figure 5)."""
+    """Streaming tight ByTupleRangeMAX / ByTupleRangeMIN (Figure 5).
+
+    Extremes start at ``None`` and are seeded by the first participating
+    value, so DATE and TEXT arguments compare among themselves only.
+    """
 
     def __init__(
         self, stream: TupleStream | None = None, *, maximize: bool = True
     ) -> None:
         super().__init__(stream)
         self.maximize = maximize
-        self.any_satisfiable = False
-        self.has_forced = False
-        self.forced_inner = -math.inf if maximize else math.inf
-        self.any_inner = math.inf if maximize else -math.inf
-        self.outer = -math.inf if maximize else math.inf
+        self.forced_inner = None
+        self.any_inner = None
+        self.outer = None
+
+    def _fold(self, outer, any_inner, forced_inner) -> None:
+        better = max if self.maximize else min
+        worse = min if self.maximize else max
+        self.outer = _pick(better, self.outer, outer)
+        self.any_inner = _pick(worse, self.any_inner, any_inner)
+        self.forced_inner = _pick(better, self.forced_inner, forced_inner)
 
     def add(self, vector: tuple) -> None:
         satisfying = [c for c in vector if c is not None]
         if not satisfying:
             return
-        self.any_satisfiable = True
         vmin = min(satisfying)
         vmax = max(satisfying)
-        forced = len(satisfying) == len(vector)
-        if self.maximize:
-            self.outer = max(self.outer, vmax)
-            self.any_inner = min(self.any_inner, vmin)
-            if forced:
-                self.has_forced = True
-                self.forced_inner = max(self.forced_inner, vmin)
-        else:
-            self.outer = min(self.outer, vmin)
-            self.any_inner = max(self.any_inner, vmax)
-            if forced:
-                self.has_forced = True
-                self.forced_inner = min(self.forced_inner, vmax)
+        high, low = (vmax, vmin) if self.maximize else (vmin, vmax)
+        forced = low if len(satisfying) == len(vector) else None
+        self._fold(high, low, forced)
 
     def merge(self, other: "RangeMinMaxAccumulator") -> None:
         self._require_same_kind(other)
@@ -313,21 +320,16 @@ class RangeMinMaxAccumulator(Accumulator):
             raise EvaluationError(
                 "cannot merge a MIN accumulator with a MAX accumulator"
             )
-        self.any_satisfiable = self.any_satisfiable or other.any_satisfiable
-        self.has_forced = self.has_forced or other.has_forced
-        if self.maximize:
-            self.outer = max(self.outer, other.outer)
-            self.any_inner = min(self.any_inner, other.any_inner)
-            self.forced_inner = max(self.forced_inner, other.forced_inner)
-        else:
-            self.outer = min(self.outer, other.outer)
-            self.any_inner = max(self.any_inner, other.any_inner)
-            self.forced_inner = min(self.forced_inner, other.forced_inner)
+        self._fold(other.outer, other.any_inner, other.forced_inner)
 
     def result(self) -> RangeAnswer:
-        if not self.any_satisfiable:
+        if self.outer is None:
             return RangeAnswer(None, None)
-        inner = self.forced_inner if self.has_forced else self.any_inner
+        inner = (
+            self.forced_inner
+            if self.forced_inner is not None
+            else self.any_inner
+        )
         if self.maximize:
             return RangeAnswer(inner, self.outer)
         return RangeAnswer(self.outer, inner)

@@ -1003,17 +1003,16 @@ def accumulator_for_problem(cell, problem: VectorizedProblem):
         )
         if satisfiable.any():
             _, forced, vmin, vmax = _row_stats(problem)
-            accumulator.any_satisfiable = True
-            accumulator.has_forced = bool(forced.any())
+            has_forced = bool(forced.any())
             if maximize:
                 accumulator.outer = float(vmax[satisfiable].max())
                 accumulator.any_inner = float(vmin[satisfiable].min())
-                if accumulator.has_forced:
+                if has_forced:
                     accumulator.forced_inner = float(vmin[forced].max())
             else:
                 accumulator.outer = float(vmin[satisfiable].min())
                 accumulator.any_inner = float(vmax[satisfiable].max())
-                if accumulator.has_forced:
+                if has_forced:
                     accumulator.forced_inner = float(vmax[forced].min())
         return accumulator
     raise VectorizationError(

@@ -17,6 +17,9 @@ from repro.bench.reporting import (
 from repro.bench.runner import SweepResult, TimingStats, run_sweep, time_once, time_stats
 from repro.data import synthetic
 from repro.exceptions import EvaluationError
+from repro.storage.columnar import HAVE_NUMPY
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 @pytest.fixture
@@ -44,6 +47,7 @@ class TestRegistry:
             answer = get_algorithm(name)(context)
             assert answer is not None, name
 
+    @requires_numpy
     def test_vectorized_context_matches_scalar(self):
         workload = synthetic.generate_workload(40, 6, 3, seed=2)
         scalar_ctx = BenchContext(

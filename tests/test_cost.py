@@ -30,6 +30,7 @@ from repro.core.semantics import AggregateSemantics, MappingSemantics
 from repro.data import realestate, synthetic
 from repro.obs.feedback import PlanFeedback
 from repro.sql.ast import AggregateOp
+from repro.storage.columnar import HAVE_NUMPY
 
 
 def small_engine(**kwargs) -> AggregationEngine:
@@ -147,6 +148,42 @@ class TestParallelDecision:
             max_workers=0, cutover_rows=64,
         )
 
+    def test_priced_against_the_vectorized_fallback(self):
+        model = CostModel()
+        decided = model.parallel_beats_sequential(
+            sequential_lane=Lane.VECTORIZED, rows=50_000, mappings=3,
+            op=AggregateOp.SUM, aggregate_semantics=AggregateSemantics.RANGE,
+            samples=500, max_workers=2, cutover_rows=4096,
+        )
+        assert not decided
+
+
+class TestParallelPlanning:
+    """Parallel is planned only where it undercuts the plan it would
+    fall back to."""
+
+    QUERY = "SELECT SUM(value) FROM MED"
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        table = synthetic.generate_source_table(50_000, 3, seed=7)
+        return table, synthetic.generate_pmapping(table.relation, 3, seed=7)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    def test_numpy_engine_keeps_vectorized(self, data):
+        table, pmapping = data
+        engine = AggregationEngine([table], pmapping, max_workers=2)
+        plan = engine.plan(self.QUERY, "by-tuple", "range")
+        assert plan.fallback_chain == [Lane.VECTORIZED, Lane.SCALAR]
+
+    def test_row_engine_still_plans_parallel(self, data):
+        table, pmapping = data
+        engine = AggregationEngine(
+            [table], pmapping, max_workers=2, vectorize=False
+        )
+        plan = engine.plan(self.QUERY, "by-tuple", "range")
+        assert plan.fallback_chain == [Lane.PARALLEL, Lane.SCALAR]
+
 
 class TestMisestimation:
     def test_ratios(self):
@@ -255,9 +292,12 @@ class TestEstimateActualLoop:
         # observations evict that belief: the cached parallel plan
         # declines at run time (the recomputed cutover says never), the
         # scalar fallback answers, and the loop records the lane change.
+        # Rows pin the scalar fallback: parallel is priced against the
+        # plan it falls back to, and the calibration below is the scalar
+        # lane's.
         engine = synthetic_engine(
             3000, 3, max_workers=2, parallel_executor="thread",
-            calibrate=True,
+            calibrate=True, vectorize=False,
         )
         feedback = engine.context.feedback
         key = cell_key(
@@ -470,14 +510,17 @@ class TestCalibratedCutover:
         """The acceptance-criterion test: feedback flips the lane
         decision away from the static default while the answer stays
         bit-identical to the sequential reference."""
-        # Static default (4096): 3000 rows stay sequential.
+        # Static default (4096): 3000 rows stay sequential.  Rows pin the
+        # scalar fallback the primed observations describe (parallel is
+        # priced against the plan it falls back to).
         reference_engine = synthetic_engine(3000, 3)
         static_engine = synthetic_engine(
-            3000, 3, max_workers=2, parallel_executor="thread"
+            3000, 3, max_workers=2, parallel_executor="thread",
+            vectorize=False,
         )
         calibrated = synthetic_engine(
             3000, 3, max_workers=2, parallel_executor="thread",
-            calibrate=True,
+            calibrate=True, vectorize=False,
         )
         assert static_engine.plan(
             SUM_QUERY, "by-tuple", "range"

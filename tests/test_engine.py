@@ -22,6 +22,9 @@ from repro.exceptions import (
 )
 from repro.schema.mapping import SchemaPMapping
 from repro.sql.parser import parse_query
+from repro.storage.columnar import HAVE_NUMPY
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 @pytest.fixture
@@ -241,6 +244,7 @@ class TestVectorizedEngine:
         answer = engine.answer(realestate.Q1, "by-tuple", "range")
         assert answer.as_tuple() == (1, 3)
 
+    @requires_numpy
     def test_columnar_cache_reused(self, ds2, pm2):
         engine = AggregationEngine([ds2], pm2, vectorize=True)
         engine.answer("SELECT MAX(price) FROM T2", "by-tuple", "range")
@@ -319,6 +323,7 @@ class TestPartialCoverageMappings:
         )
         assert fast.approx_equal(naive, 1e-9)
 
+    @requires_numpy
     def test_vectorized_matches_scalar(self, ds1, partial_pmapping, q1):
         from repro.core.vectorized import (
             ColumnarTable,

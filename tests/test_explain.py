@@ -31,7 +31,10 @@ from repro.obs import metrics, trace
 from repro.obs.trace import InMemorySink, use_sink
 from repro.schema.serialize import save_pmapping
 from repro.sql.ast import AggregateOp
+from repro.storage.columnar import HAVE_NUMPY
 from repro.storage.csv_io import save_table_csv
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 ALL_CELLS = [
     (msem, asem) for msem in MappingSemantics for asem in AggregateSemantics
@@ -77,6 +80,7 @@ class TestPlanToDict:
         assert data["inner"] is None
         json.dumps(data)  # JSON-ready, by contract
 
+    @requires_numpy
     def test_vectorized_plan_exposes_fallback_chain(self, ds1, pm1, q1):
         with AggregationEngine([ds1], pm1, vectorize=True) as engine:
             data = engine.plan(
@@ -263,6 +267,7 @@ class TestSpanNesting:
         # The nested lane's work happened inside the answer span.
         assert nested in list(root.walk())
 
+    @requires_numpy
     def test_vectorized_fallback_nests_under_declined_lane(
         self, ds1, pm1, q1, monkeypatch
     ):
@@ -286,6 +291,7 @@ class TestSpanNesting:
         assert snap["execute.fallback.vectorized"] == 1
         assert "vectorized.hit" not in snap
 
+    @requires_numpy
     def test_vectorized_hit_has_no_fallback_span(self, ds1, pm1, q1):
         sink = InMemorySink()
         with AggregationEngine([ds1], pm1, vectorize=True) as engine, \

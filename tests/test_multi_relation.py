@@ -12,6 +12,9 @@ import pytest
 from repro.core.engine import AggregationEngine
 from repro.data import ebay, realestate
 from repro.schema.mapping import SchemaPMapping
+from repro.storage.columnar import HAVE_NUMPY
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 @pytest.fixture
@@ -56,6 +59,7 @@ class TestMultiRelationBackends:
         assert a.value == pytest.approx(2.2)
         assert b.value == pytest.approx(975.437)
 
+    @requires_numpy
     def test_vectorized_caches_per_relation(self, ds1, ds2, pm1, pm2):
         engine = AggregationEngine(
             [ds1, ds2], SchemaPMapping([pm1, pm2]), vectorize=True

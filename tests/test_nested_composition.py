@@ -1,4 +1,4 @@
-"""Tests for nested by-tuple composition (:mod:`repro.core.nested`)."""
+"""Tests for nested by-tuple composition (:mod:`repro.core.extensions`)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.answers import DistributionAnswer
 from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
-from repro.core.nested import compose_independent
+from repro.core.extensions import compose_independent
 from repro.core.semantics import AggregateSemantics
 from repro.data import ebay
 from repro.exceptions import EvaluationError
@@ -73,13 +73,26 @@ class TestComposeIndependent:
             compose_independent(AggregateOp.SUM, [])
 
     def test_support_budget(self):
+        # The cap bounds the deduplicated support: digits in base 100 keep
+        # every sum distinct (10^6 outcomes), where three copies of one
+        # distribution would merge down to 298.
+        wide = [
+            DiscreteDistribution(
+                {float(v * 100**k): 1 / 100 for v in range(100)}
+            )
+            for k in range(3)
+        ]
+        with pytest.raises(EvaluationError, match="support"):
+            compose_independent(AggregateOp.SUM, wide, max_support=500)
+
+    def test_support_budget_counts_merged_outcomes(self):
         wide = DiscreteDistribution(
             {float(v): 1 / 100 for v in range(100)}
         )
-        with pytest.raises(EvaluationError, match="support"):
-            compose_independent(
-                AggregateOp.SUM, [wide, wide, wide], max_support=500
-            )
+        total = compose_independent(
+            AggregateOp.SUM, [wide, wide, wide], max_support=500
+        )
+        assert len(total) == 298
 
     @settings(max_examples=60, deadline=None)
     @given(independent_distributions())

@@ -238,8 +238,8 @@ class TestLanes:
             [ds2], pm2, use_extensions=True, allow_sampling=True
         )
         plan = engine.plan(ebay.Q2, "by-tuple", "distribution")
-        assert plan.lane == Lane.NESTED_COMPOSE
-        assert plan.fallback_chain == [Lane.NESTED_COMPOSE, Lane.SAMPLING]
+        assert plan.lane == Lane.EXTENSION
+        assert plan.fallback_chain == [Lane.EXTENSION, Lane.SAMPLING]
 
     def test_intractable_cell_raises_at_plan_time(self, ds1, pm1):
         engine = AggregationEngine([ds1], pm1)

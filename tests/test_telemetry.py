@@ -27,6 +27,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import QueryLog, QueryRecord, query_digest
 from repro.obs.trace import InMemorySink
 from repro.sql.ast import AggregateOp
+from repro.storage.columnar import HAVE_NUMPY
+
+requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,7 @@ class TestConcurrentTracing:
 
 
 class TestShardStitching:
+    @requires_numpy
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_reparenting_deterministic(self, workload, executor):
         """Every pool shard's subtree lands under parallel.map, in shard
@@ -165,7 +169,7 @@ class TestShardStitching:
         w = workload
         engine = AggregationEngine(
             w.table, w.pmapping, max_workers=4, min_rows_per_shard=500,
-            parallel_executor=executor,
+            parallel_executor=executor, vectorize=False,
         )
         with engine, trace.use_sink(InMemorySink()) as sink:
             engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
@@ -192,19 +196,20 @@ class TestShardStitching:
         w = workload
         engine = AggregationEngine(
             w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
+            parallel_executor="thread", vectorize=False,
         )
         with engine:
             engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
             assert engine.metrics_snapshot()["parallel.shard.folds"] == 2
 
+    @requires_numpy
     def test_explain_analyze_shows_shard_subtrees(self, workload):
         """The acceptance criterion: explain_analyze of a parallel-lane
         query surfaces per-shard spans and merged shard metrics."""
         w = workload
         engine = AggregationEngine(
             w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
+            parallel_executor="thread", vectorize=False,
         )
         with engine:
             report = engine.explain_analyze(
@@ -384,7 +389,7 @@ class TestExport:
         w = workload
         engine = AggregationEngine(
             w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
+            parallel_executor="thread", vectorize=False,
         )
         with engine:
             engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
@@ -523,7 +528,7 @@ class TestExpositionGrammar:
         engine = AggregationEngine(
             w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
             parallel_executor="thread", allow_sampling=True, samples=20,
-            calibrate=True,
+            calibrate=True, vectorize=False,
         )
         with engine:
             engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
